@@ -5,7 +5,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: help test verify symbolic-smoke lint lint-verify difftest \
 	difftest-smoke difftest-compiled faults faults-smoke failover-smoke \
 	pool-smoke telemetry-smoke obs-smoke tenancy-smoke perf perf-smoke \
-	benchmarks
+	bench-smoke benchmarks
 
 help:
 	@echo "Targets:"
@@ -29,6 +29,8 @@ help:
 	@echo "  tenancy-smoke   admit 3 middleboxes onto one switch, prove isolation"
 	@echo "  perf            interpreter-vs-compiled timing -> BENCH_6.json"
 	@echo "  perf-smoke      small fixed-seed perf slice + schema + differential check"
+	@echo "  bench-smoke     every perfbench workload for 2 s + traced gauntlet,"
+	@echo "                  each run must report correct: true; perfbench tests"
 	@echo "  benchmarks      regenerate every paper table/figure"
 
 test:
@@ -181,6 +183,26 @@ perf-smoke:
 		assert not errors, errors; print('BENCH_smoke.json: schema ok')"
 	$(PYTHON) -m repro difftest --compiled --runs 25 --seed 0
 	rm -f BENCH_smoke.json
+
+# Repository-benchmark smoke: every workload of BENCHMARK.json for a
+# two-second window, plus the traced gauntlet run, whose spans patch
+# run_label_removal and build_dependency_graph by module attribute (a
+# rename of either crashes it).  Fails unless the JSON result on each
+# run's last line says "correct": true.  Then the benchmark's own tests,
+# which sit outside the tier-1 testpaths.
+BENCH_SMOKE_RUNS = fastpath:0 shortflow:0 features:0 gauntlet:0 gauntlet:1
+bench-smoke:
+	@for run in $(BENCH_SMOKE_RUNS); do \
+		workload=$${run%:*}; trace=$${run#*:}; \
+		echo "bench-smoke: $$workload --trace $$trace"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 2 --trace $$trace > bench_smoke.txt || exit 1; \
+		tail -n 1 bench_smoke.txt | $(PYTHON) -c "import json, sys; \
+			result = json.load(sys.stdin); print('correct:', result['correct']); \
+			sys.exit(result['correct'] is not True)" || exit 1; \
+	done
+	rm -f bench_smoke.txt
+	$(PYTHON) -m pytest perfbench -q
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

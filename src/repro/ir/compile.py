@@ -38,7 +38,6 @@ Equivalence caveats, by construction:
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lang.types import BOOL, IntType
@@ -474,15 +473,15 @@ class CompiledFunction:
         )
 
 
-_CACHE: "weakref.WeakKeyDictionary[Function, CompiledFunction]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def compile_function(function: Function) -> CompiledFunction:
-    """Compile (or fetch the cached compilation of) one IR function."""
-    compiled = _CACHE.get(function)
+    """Compile (or fetch the cached compilation of) one IR function.
+
+    The compilation is cached on the function itself: the two reference
+    each other, so they are freed together once nothing else holds
+    either.
+    """
+    compiled = function._compiled
     if compiled is None:
         compiled = CompiledFunction(function)
-        _CACHE[function] = compiled
+        function._compiled = compiled
     return compiled

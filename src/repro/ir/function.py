@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.ir.instructions import Branch, Instruction, Jump, Terminator
 from repro.ir.values import Location, Reg
@@ -50,6 +50,9 @@ class Function:
         self.name = name
         self.entry = entry
         self.blocks: Dict[str, BasicBlock] = {}
+        #: the compiled engine's code for this function, built on first use
+        #: by :func:`repro.ir.compile.compile_function`
+        self._compiled: Optional[Any] = None
 
     def block(self, name: str) -> BasicBlock:
         return self.blocks[name]

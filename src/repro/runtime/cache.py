@@ -153,6 +153,7 @@ class CachedGalliumMiddlebox(GalliumMiddlebox):
         for name in self.cached_tables:
             entries = list(self.state.maps[name].items())[-self.cache_entries:]
             table = self.switch.tables[name]
+            table.punt_on_miss = True
             # Rebuild the bounded view.
             table._main.clear()
             self._fifo[name].clear()

@@ -37,12 +37,15 @@ class SwitchStateAdapter:
         self.tables = tables
         self.registers = registers
         self._access_counts: Dict[str, int] = {}
+        #: Whether this traversal missed a ``punt_on_miss`` table.
+        self.cache_missed = False
         #: Optional :class:`repro.telemetry.PacketTracer` (``None`` when
         #: tracing is off; the interpreter picks it up via ``state.tracer``).
         self.tracer = None
 
     def begin_traversal(self) -> None:
         self._access_counts = {}
+        self.cache_missed = False
 
     def _count(self, state: str) -> None:
         self._access_counts[state] = self._access_counts.get(state, 0) + 1
@@ -59,6 +62,8 @@ class SwitchStateAdapter:
         if table is None:
             raise DataPlaneViolation(f"lookup on unknown table {name!r}")
         found, value = table.lookup(keys)
+        if not found and table.punt_on_miss:
+            self.cache_missed = True
         if self.tracer is not None:
             self.tracer.record("table_lookup", name=name, key=keys,
                                hit=found, value=value)

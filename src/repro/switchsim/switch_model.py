@@ -160,14 +160,16 @@ class SwitchModel:
             tracer.set_component("switch.pre")
         clock.advance(PARSE_US)
         result = self._pre.run(view)
+        # A miss on a bounded cache table is not authoritative: punt.
+        verdict = None if self.adapter.cache_missed else result.verdict
         clock.advance(result.instructions * SWITCH_INSTR_US)
         self._h_pre.observe(result.instructions)
         self._int_stamp(
             packet, "switch.pre", result.instructions,
             PARSE_US + result.instructions * SWITCH_INSTR_US,
-            punted=result.verdict not in ("send", "drop"),
+            punted=verdict not in ("send", "drop"),
         )
-        if result.verdict == "send":
+        if verdict == "send":
             self._c_fast.inc()
             port = self._resolve_egress(result.egress_port, ingress_port)
             if tracer is not None:
@@ -178,7 +180,7 @@ class SwitchModel:
                 fast_path=True,
                 pipeline_instructions=result.instructions,
             )
-        if result.verdict == "drop":
+        if verdict == "drop":
             self._c_fast.inc()
             self._c_dropped.inc()
             if tracer is not None:

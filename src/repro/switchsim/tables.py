@@ -39,6 +39,10 @@ class ExactMatchTable:
         self._writeback_visible = False
         self.lookup_count = 0
         self.hit_count = 0
+        #: Set when the table is a bounded cache of a larger authoritative
+        #: table (the §7 extension): a miss cannot tell "absent" from
+        #: "evicted", so the pipeline that missed must punt.
+        self.punt_on_miss = False
 
     # -- data plane -----------------------------------------------------------
 

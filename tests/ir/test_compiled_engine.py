@@ -8,6 +8,9 @@ the edge semantics (undefined registers, step limits, deep-trace
 fallback) that are easy to lose in specialization.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ir import instructions as irin
@@ -106,6 +109,17 @@ class TestCompiledEdgeSemantics:
             lowered.process
         )
         assert isinstance(compile_function(lowered.process), CompiledFunction)
+
+    def test_compiled_function_is_freed_with_its_function(self):
+        lowered = lower("uint32_t a = 1 + 2; pkt->send();")
+        function = lowered.process
+        compiled = compile_function(function)
+        function_ref = weakref.ref(function)
+        compiled_ref = weakref.ref(compiled)
+        del lowered, function, compiled
+        gc.collect()
+        assert function_ref() is None
+        assert compiled_ref() is None
 
     def test_fused_jump_chain_keeps_step_accounting(self):
         # if/else reconverges through jumps: superblock fusion must not
