@@ -5,7 +5,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: help test verify symbolic-smoke lint lint-verify difftest \
 	difftest-smoke difftest-compiled faults faults-smoke failover-smoke \
 	pool-smoke telemetry-smoke obs-smoke tenancy-smoke perf perf-smoke \
-	bench-smoke benchmarks
+	bench-smoke benchmarks deadcode
 
 help:
 	@echo "Targets:"
@@ -32,6 +32,7 @@ help:
 	@echo "  bench-smoke     every perfbench workload for 2 s + traced gauntlet,"
 	@echo "                  each run must report correct: true; perfbench tests"
 	@echo "  benchmarks      regenerate every paper table/figure"
+	@echo "  deadcode        functions in src/repro that tier-1 never calls"
 
 test:
 	$(PYTHON) -m pytest -q tests/
@@ -206,3 +207,9 @@ bench-smoke:
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# Call-recording report (stdlib sys.setprofile, no coverage package):
+# runs tier-1 in one process and lists every function in src/repro it
+# never calls, with line totals.  Several times slower than `make test`.
+deadcode:
+	$(PYTHON) tools/deadcode.py

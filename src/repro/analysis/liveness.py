@@ -15,7 +15,7 @@ Two consumers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -23,14 +23,7 @@ from repro.ir.values import Reg
 
 
 def _defs(inst: Instruction) -> Set[str]:
-    out: Set[str] = set()
-    result = inst.result()
-    if result is not None:
-        out.add(result.name)
-    found = getattr(inst, "found", None)
-    if isinstance(found, Reg):
-        out.add(found.name)
-    return out
+    return {reg.name for reg in inst.defs()}
 
 
 def _uses(inst: Instruction) -> Set[str]:
@@ -89,12 +82,8 @@ def transfer_variables(
     """
     defined: Dict[str, Reg] = {}
     for inst in producer_insts:
-        result = inst.result()
-        if result is not None:
-            defined[result.name] = result
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            defined[found.name] = found
+        for reg in inst.defs():
+            defined[reg.name] = reg
     needed: Set[str] = set()
     for inst in consumer_insts:
         for op in inst.operands():
@@ -131,13 +120,10 @@ def peak_live_bytes(function: Function) -> int:
     ranges = live_ranges(function)
     widths: Dict[str, int] = {}
     for inst in function.instructions():
-        for op in list(inst.operands()) + [inst.result()]:
+        for op in inst.operands() + inst.defs():
             if isinstance(op, Reg):
                 bits = op.type.bit_width() if hasattr(op.type, "bit_width") else 32
                 widths[op.name] = max(1, (bits + 7) // 8)
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            widths[found.name] = 1
     events: Dict[int, int] = {}
     for name, (first, last) in ranges.items():
         size = widths.get(name, 4)

@@ -20,7 +20,7 @@ declaration would lay them out.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.values import Reg
 from repro.partition.plan import TransferSpec
@@ -36,10 +36,6 @@ class ShimField:
 
     name: str
     width_bits: int
-
-    @property
-    def is_flag(self) -> bool:
-        return self.width_bits == 1
 
 
 @dataclass

@@ -12,7 +12,7 @@ occupant's range has ended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.liveness import live_ranges
@@ -43,13 +43,7 @@ def _register_widths(function: Function) -> Dict[str, int]:
         candidates: List[Reg] = [
             op for op in inst.operands() if isinstance(op, Reg)
         ]
-        result = inst.result()
-        if result is not None:
-            candidates.append(result)
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            candidates.append(found)
-        for reg in candidates:
+        for reg in candidates + inst.defs():
             bits = reg.type.bit_width() if hasattr(reg.type, "bit_width") else 32
             widths[reg.name] = max(1, (bits + 7) // 8)
     return widths

@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.analysis.reachability import compute_reachability
-from repro.codegen.headers import ShimLayout
 from repro.ir import instructions as irin
 from repro.ir.function import Function
 from repro.ir.values import Const, Reg
@@ -156,14 +155,7 @@ class _P4Emitter:
 
     @staticmethod
     def _regs_of(inst: irin.Instruction) -> List[Reg]:
-        regs = [op for op in inst.operands() if isinstance(op, Reg)]
-        result = inst.result()
-        if result is not None:
-            regs.append(result)
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            regs.append(found)
-        return regs
+        return [op for op in inst.operands() if isinstance(op, Reg)] + inst.defs()
 
     def _operand(self, operand, width: Optional[int] = None) -> str:
         if isinstance(operand, Const):

@@ -8,8 +8,8 @@ the Gallium deployment, and how often punts trigger state synchronization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Optional, Tuple
 
 from repro.middleboxes import load
 from repro.net.packet import RawPacket
@@ -75,10 +75,6 @@ class MiddleboxProfile:
     @property
     def sync_wait_avg_us(self) -> float:
         return self.sync_wait_total_us / max(1, self.sync_events)
-
-    @property
-    def sync_fraction(self) -> float:
-        return self.sync_events / max(1, self.packets)
 
 
 def profile_middlebox(

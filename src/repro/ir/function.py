@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set
 
-from repro.ir.instructions import Branch, Instruction, Jump, Terminator
-from repro.ir.values import Location, Reg
+from repro.ir.instructions import Instruction, Terminator
+from repro.ir.values import Reg
 
 
 class BasicBlock:
@@ -102,41 +102,13 @@ class Function:
     def instruction_count(self) -> int:
         return sum(len(b.instructions) for b in self.blocks.values())
 
-    def find_instruction(self, inst_id: int) -> Optional[Instruction]:
-        for inst in self.instructions():
-            if inst.id == inst_id:
-                return inst
-        return None
-
-    def block_of(self, instruction: Instruction) -> Optional[str]:
-        for name, block in self.blocks.items():
-            if any(inst.id == instruction.id for inst in block.instructions):
-                return name
-        return None
-
     # -- derived info -----------------------------------------------------------
 
     def defined_regs(self) -> Dict[str, Reg]:
         """All registers defined anywhere in the function, by name."""
-        regs: Dict[str, Reg] = {}
-        for inst in self.instructions():
-            result = inst.result()
-            if result is not None:
-                regs[result.name] = result
-            # MapFind defines `found` too.
-            found = getattr(inst, "found", None)
-            if isinstance(found, Reg):
-                regs[found.name] = found
-        return regs
-
-    def global_states(self) -> Set[str]:
-        """Names of element-state members the function touches."""
-        out: Set[str] = set()
-        for inst in self.instructions():
-            for loc in inst.reads() | inst.writes():
-                if loc.is_global:
-                    out.add(loc.name)
-        return out
+        return {
+            reg.name: reg for inst in self.instructions() for reg in inst.defs()
+        }
 
     def __repr__(self) -> str:
         return (

@@ -23,15 +23,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.lang.diagnostics import SourceLocation
-from repro.lang.types import BOOL, IntType, Type
+from repro.lang.types import Type
 from repro.ir.values import (
-    Const,
     HEADER_REGIONS,
-    LocKind,
     Location,
     Operand,
     Reg,
@@ -127,8 +124,17 @@ class Instruction:
         return []
 
     def result(self) -> Optional[Reg]:
-        """The register defined, if any."""
+        """The register holding the instruction's value, if any."""
         return None
+
+    def defs(self) -> List[Reg]:
+        """Every register this instruction defines — the IR's one def rule.
+
+        The value register of :meth:`result`, plus any further outputs
+        (``MapFind`` also defines its hit flag).
+        """
+        result = self.result()
+        return [] if result is None else [result]
 
     # -- classification ------------------------------------------------------
 
@@ -144,11 +150,6 @@ class Instruction:
     def is_verdict(self) -> bool:
         """True for Send/SendTo/Drop — packet-release points."""
         return False
-
-    @property
-    def has_side_effects(self) -> bool:
-        """True if skipping this instruction could change observable state."""
-        return bool(self.writes()) or self.is_verdict
 
     def global_state_accesses(self) -> Set[Location]:
         """Global-state locations touched *as data* (for constraint 3).
@@ -450,6 +451,9 @@ class MapFind(Instruction):
     def result(self):
         return self.value
 
+    def defs(self):
+        return [self.found] if self.value is None else [self.value, self.found]
+
     def p4_supported(self):
         return True
 
@@ -606,10 +610,6 @@ class ExternCall(Instruction):
 
     def p4_supported(self):
         return False
-
-    @property
-    def has_side_effects(self):
-        return bool(self.extra_writes) or self.dst is None
 
 
 # ---------------------------------------------------------------------------

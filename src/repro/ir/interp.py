@@ -17,7 +17,7 @@ model converts to CPU cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 from repro.lang.types import BOOL, IntType
 from repro.ir import instructions as irin
@@ -26,7 +26,6 @@ from repro.ir.function import Function
 from repro.ir.lowering import StateMember
 from repro.ir.values import Const, Operand, Reg
 from repro.net.addresses import Ipv4Address, MacAddress
-from repro.net.headers import TcpHeader, UdpHeader
 
 
 class InterpreterError(Exception):
@@ -398,11 +397,214 @@ def _apply_binop(op: irin.BinOpKind, a: int, b: int) -> int:
     raise InterpreterError(f"unknown binop {op}")
 
 
+def _apply_unop(op: irin.UnOpKind, a: int) -> int:
+    if op is irin.UnOpKind.NEG:
+        return -a
+    if op is irin.UnOpKind.NOT:
+        return ~a
+    return int(not a)  # LNOT
+
+
 def _width_of(type_) -> int:
     try:
         return type_.bit_width()
     except Exception:
         return 32
+
+
+def _wrap(value: int, reg: Reg) -> int:
+    """Wrap ``value`` to ``reg``'s type: 0/1 for bool, else its mask."""
+    type_ = reg.type
+    if type_ is BOOL:
+        return 1 if value else 0
+    if isinstance(type_, IntType):
+        return value & type_.mask
+    return value & 0xFFFFFFFFFFFFFFFF
+
+
+class ValueDomain(NamedTuple):
+    """The value operations :func:`execute` is generic over.
+
+    :data:`INT_DOMAIN` gives the concrete semantics the interpreter runs;
+    the symbolic engine builds one per world over its terms, with
+    ``truth`` resolving each branch through the world's chooser.
+    """
+
+    const: Callable[[int], Any]
+    #: wrap a value to a destination register's type
+    wrap: Callable[[Any, Reg], Any]
+    binop: Callable[[irin.BinOpKind, Any, Any], Any]
+    unop: Callable[[irin.UnOpKind, Any], Any]
+    #: the branch decision on a condition value
+    truth: Callable[[Any], bool]
+    #: raised on a failure of the program itself (bad IR, undefined
+    #: register, packet access without a packet)
+    error: Type[Exception]
+    #: raised when the step limit runs out
+    step_limit: Type[Exception]
+
+
+INT_DOMAIN = ValueDomain(
+    const=int,
+    wrap=_wrap,
+    binop=_apply_binop,
+    unop=_apply_unop,
+    truth=bool,
+    error=InterpreterError,
+    step_limit=InterpreterError,
+)
+
+
+def execute(
+    function: Function,
+    domain: ValueDomain,
+    state,
+    externs,
+    packet=None,
+    initial_env: Optional[Dict[str, Any]] = None,
+    max_steps: int = _MAX_STEPS,
+    tracer=None,
+    executed: Optional[List[int]] = None,
+    release=None,
+) -> Tuple[Optional[str], Any, Dict[str, Any], int]:
+    """Run ``function`` to its end; return ``(verdict, egress, env, steps)``.
+
+    The one opcode dispatch of the IR's reference semantics, shared by
+    :class:`Interpreter` and the symbolic engine's ``sym_run``.  ``state``
+    and ``externs`` expose the :class:`StateStore` / :class:`ExternHost`
+    surface over the domain's values; ``packet`` the :class:`PacketView`
+    field access.  The optional hooks are the caller's: ``tracer``
+    receives deep-trace and packet-write events, ``executed`` collects the
+    executed instruction ids, and ``release`` (a :class:`PacketView`) is
+    told each verdict.
+    """
+    const, wrap, binop, unop, truth, error, step_limit = domain
+    env: Dict[str, Any] = dict(initial_env or {})
+    name = function.name
+    block = function.blocks[function.entry]
+    steps = 0
+    verdict: Optional[str] = None
+    egress = None
+    deep = tracer is not None and tracer.deep
+
+    def value_of(operand: Operand):
+        if isinstance(operand, Reg):
+            try:
+                return env[operand.name]
+            except KeyError:
+                raise error(
+                    f"{name}: read of undefined register %{operand.name}"
+                ) from None
+        if isinstance(operand, Const):
+            return const(operand.value)
+        raise error(f"bad operand {operand!r}")
+
+    while True:
+        next_block: Optional[str] = None
+        for position, inst in enumerate(block.instructions):
+            steps += 1
+            if steps > max_steps:
+                raise step_limit(
+                    f"{name}: step limit exceeded (runaway loop?)"
+                )
+            if executed is not None:
+                executed.append(inst.id)
+            if deep:
+                # ``position`` (not ``inst.id``) keeps deep traces
+                # byte-identical across re-compiles: instruction ids
+                # come from a process-global counter.
+                tracer.record("exec", function=name, block=block.name,
+                              position=position, op=type(inst).__name__)
+            if isinstance(inst, (irin.Assign, irin.Cast)):
+                env[inst.dst.name] = wrap(value_of(inst.src), inst.dst)
+            elif isinstance(inst, irin.BinOp):
+                result = binop(inst.op, value_of(inst.lhs), value_of(inst.rhs))
+                env[inst.dst.name] = wrap(result, inst.dst)
+            elif isinstance(inst, irin.UnOp):
+                env[inst.dst.name] = wrap(
+                    unop(inst.op, value_of(inst.src)), inst.dst
+                )
+            elif isinstance(inst, irin.LoadPacketField):
+                if packet is None:
+                    raise error("packet access without a packet")
+                env[inst.dst.name] = wrap(
+                    packet.get_field(inst.region, inst.field), inst.dst
+                )
+            elif isinstance(inst, irin.StorePacketField):
+                if packet is None:
+                    raise error("packet access without a packet")
+                value = value_of(inst.src)
+                packet.set_field(inst.region, inst.field, value)
+                if tracer is not None:
+                    tracer.record("packet_write", region=inst.region,
+                                  field=inst.field, value=value)
+            elif isinstance(inst, irin.LoadState):
+                env[inst.dst.name] = wrap(state.load_scalar(inst.state), inst.dst)
+            elif isinstance(inst, irin.StoreState):
+                state.store_scalar(inst.state, value_of(inst.src))
+            elif isinstance(inst, irin.RegisterRMW):
+                old = state.rmw_scalar(
+                    inst.state,
+                    inst.op,
+                    value_of(inst.operand),
+                    _width_of(inst.dst.type),
+                )
+                env[inst.dst.name] = wrap(old, inst.dst)
+            elif isinstance(inst, irin.MapFind):
+                keys = tuple(value_of(k) for k in inst.keys)
+                found, value = state.map_find(inst.state, keys)
+                env[inst.found.name] = const(int(found))
+                if inst.value is not None:
+                    env[inst.value.name] = value
+            elif isinstance(inst, irin.MapInsert):
+                keys = tuple(value_of(k) for k in inst.keys)
+                state.map_insert(inst.state, keys, value_of(inst.value))
+            elif isinstance(inst, irin.MapErase):
+                keys = tuple(value_of(k) for k in inst.keys)
+                state.map_erase(inst.state, keys)
+            elif isinstance(inst, irin.VectorGet):
+                env[inst.dst.name] = state.vector_get(
+                    inst.state, value_of(inst.index)
+                )
+            elif isinstance(inst, irin.VectorLen):
+                env[inst.dst.name] = state.vector_len(inst.state)
+            elif isinstance(inst, irin.VectorPush):
+                state.vector_push(inst.state, value_of(inst.value))
+            elif isinstance(inst, irin.ExternCall):
+                args = [value_of(a) for a in inst.args]
+                result = externs.call(inst.name, args, packet)
+                if inst.dst is not None:
+                    env[inst.dst.name] = wrap(result, inst.dst)
+            elif isinstance(inst, irin.SendTo):
+                verdict = "send"
+                egress = value_of(inst.port)
+                if release is not None:
+                    release.send(egress)
+                break
+            elif isinstance(inst, irin.Send):
+                verdict = "send"
+                if release is not None:
+                    release.send()
+                break
+            elif isinstance(inst, irin.Drop):
+                verdict = "drop"
+                if release is not None:
+                    release.drop()
+                break
+            elif isinstance(inst, irin.Jump):
+                next_block = inst.target
+                break
+            elif isinstance(inst, irin.Branch):
+                taken = truth(value_of(inst.cond))
+                next_block = inst.if_true if taken else inst.if_false
+                break
+            elif isinstance(inst, irin.Return):
+                break
+            else:
+                raise error(f"unhandled instruction {type(inst).__name__}")
+        if next_block is None:
+            return verdict, egress, env, steps
+        block = function.blocks[next_block]
 
 
 class Interpreter:
@@ -424,166 +626,22 @@ class Interpreter:
         initial_env: Optional[Dict[str, int]] = None,
         collect_ids: bool = False,
     ) -> ExecutionResult:
-        env: Dict[str, int] = dict(initial_env or {})
-        block = self.function.blocks[self.function.entry]
-        steps = 0
         executed: List[int] = []
-        verdict: Optional[str] = None
-        egress: Optional[int] = None
-        tracer = getattr(self.state, "tracer", None)
-        deep = tracer is not None and tracer.deep
-
-        def value_of(operand: Operand) -> int:
-            if isinstance(operand, Const):
-                return operand.value
-            if isinstance(operand, Reg):
-                try:
-                    return env[operand.name]
-                except KeyError:
-                    raise InterpreterError(
-                        f"{self.function.name}: read of undefined register"
-                        f" %{operand.name}"
-                    ) from None
-            raise InterpreterError(f"bad operand {operand!r}")
-
-        while True:
-            next_block: Optional[str] = None
-            for position, inst in enumerate(block.instructions):
-                steps += 1
-                if steps > _MAX_STEPS:
-                    raise InterpreterError(
-                        f"{self.function.name}: step limit exceeded"
-                        " (runaway loop?)"
-                    )
-                if collect_ids:
-                    executed.append(inst.id)
-                if deep:
-                    # ``position`` (not ``inst.id``) keeps deep traces
-                    # byte-identical across re-compiles: instruction ids
-                    # come from a process-global counter.
-                    tracer.record("exec", function=self.function.name,
-                                  block=block.name, position=position,
-                                  op=type(inst).__name__)
-                if isinstance(inst, irin.Assign):
-                    env[inst.dst.name] = self._wrap(value_of(inst.src), inst.dst)
-                elif isinstance(inst, irin.BinOp):
-                    result = _apply_binop(
-                        inst.op, value_of(inst.lhs), value_of(inst.rhs)
-                    )
-                    env[inst.dst.name] = self._wrap(result, inst.dst)
-                elif isinstance(inst, irin.UnOp):
-                    src = value_of(inst.src)
-                    if inst.op is irin.UnOpKind.NEG:
-                        result = -src
-                    elif inst.op is irin.UnOpKind.NOT:
-                        result = ~src
-                    else:  # LNOT
-                        result = int(not src)
-                    env[inst.dst.name] = self._wrap(result, inst.dst)
-                elif isinstance(inst, irin.Cast):
-                    env[inst.dst.name] = self._wrap(value_of(inst.src), inst.dst)
-                elif isinstance(inst, irin.LoadPacketField):
-                    if packet is None:
-                        raise InterpreterError("packet access without a packet")
-                    env[inst.dst.name] = self._wrap(
-                        packet.get_field(inst.region, inst.field), inst.dst
-                    )
-                elif isinstance(inst, irin.StorePacketField):
-                    if packet is None:
-                        raise InterpreterError("packet access without a packet")
-                    value = value_of(inst.src)
-                    packet.set_field(inst.region, inst.field, value)
-                    if tracer is not None:
-                        tracer.record("packet_write", region=inst.region,
-                                      field=inst.field, value=value)
-                elif isinstance(inst, irin.LoadState):
-                    env[inst.dst.name] = self._wrap(
-                        self.state.load_scalar(inst.state), inst.dst
-                    )
-                elif isinstance(inst, irin.StoreState):
-                    self.state.store_scalar(inst.state, value_of(inst.src))
-                elif isinstance(inst, irin.RegisterRMW):
-                    old = self.state.rmw_scalar(
-                        inst.state,
-                        inst.op,
-                        value_of(inst.operand),
-                        _width_of(inst.dst.type),
-                    )
-                    env[inst.dst.name] = self._wrap(old, inst.dst)
-                elif isinstance(inst, irin.MapFind):
-                    keys = tuple(value_of(k) for k in inst.keys)
-                    found, value = self.state.map_find(inst.state, keys)
-                    env[inst.found.name] = int(found)
-                    if inst.value is not None:
-                        env[inst.value.name] = value
-                elif isinstance(inst, irin.MapInsert):
-                    keys = tuple(value_of(k) for k in inst.keys)
-                    self.state.map_insert(inst.state, keys, value_of(inst.value))
-                elif isinstance(inst, irin.MapErase):
-                    keys = tuple(value_of(k) for k in inst.keys)
-                    self.state.map_erase(inst.state, keys)
-                elif isinstance(inst, irin.VectorGet):
-                    env[inst.dst.name] = self.state.vector_get(
-                        inst.state, value_of(inst.index)
-                    )
-                elif isinstance(inst, irin.VectorLen):
-                    env[inst.dst.name] = self.state.vector_len(inst.state)
-                elif isinstance(inst, irin.VectorPush):
-                    self.state.vector_push(inst.state, value_of(inst.value))
-                elif isinstance(inst, irin.ExternCall):
-                    args = [value_of(a) for a in inst.args]
-                    result = self.externs.call(inst.name, args, packet)
-                    if inst.dst is not None:
-                        env[inst.dst.name] = self._wrap(result, inst.dst)
-                elif isinstance(inst, irin.SendTo):
-                    verdict = "send"
-                    egress = value_of(inst.port)
-                    if packet is not None:
-                        packet.send(egress)
-                    next_block = None
-                    break
-                elif isinstance(inst, irin.Send):
-                    verdict = "send"
-                    if packet is not None:
-                        packet.send()
-                    next_block = None
-                    break
-                elif isinstance(inst, irin.Drop):
-                    verdict = "drop"
-                    if packet is not None:
-                        packet.drop()
-                    next_block = None
-                    break
-                elif isinstance(inst, irin.Jump):
-                    next_block = inst.target
-                    break
-                elif isinstance(inst, irin.Branch):
-                    next_block = (
-                        inst.if_true if value_of(inst.cond) else inst.if_false
-                    )
-                    break
-                elif isinstance(inst, irin.Return):
-                    next_block = None
-                    break
-                else:
-                    raise InterpreterError(
-                        f"unhandled instruction {type(inst).__name__}"
-                    )
-            if next_block is None:
-                return ExecutionResult(
-                    verdict=verdict,
-                    egress_port=egress,
-                    instructions_executed=steps,
-                    executed_ids=executed,
-                    env=env,
-                )
-            block = self.function.blocks[next_block]
-
-    @staticmethod
-    def _wrap(value: int, reg: Reg) -> int:
-        type_ = reg.type
-        if type_ is BOOL:
-            return 1 if value else 0
-        if isinstance(type_, IntType):
-            return value & type_.mask
-        return value & 0xFFFFFFFFFFFFFFFF
+        verdict, egress, env, steps = execute(
+            self.function,
+            INT_DOMAIN,
+            self.state,
+            self.externs,
+            packet=packet,
+            initial_env=initial_env,
+            tracer=getattr(self.state, "tracer", None),
+            executed=executed if collect_ids else None,
+            release=packet,
+        )
+        return ExecutionResult(
+            verdict=verdict,
+            egress_port=egress,
+            instructions_executed=steps,
+            executed_ids=executed,
+            env=env,
+        )

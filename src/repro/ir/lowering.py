@@ -23,7 +23,7 @@ Lowering also:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.lang import ast_nodes as ast
 from repro.lang.diagnostics import FrontendError, SourceLocation
@@ -158,9 +158,6 @@ class LoweredMiddlebox:
     configure: Optional[Function]
     state: Dict[str, StateMember]
     program: ast.Program
-
-    def state_member(self, name: str) -> StateMember:
-        return self.state[name]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.lang.types import BOOL, IntType, Type
 
@@ -108,10 +107,6 @@ class Reg(Operand):
 
     def __str__(self) -> str:
         return f"%{self.name}"
-
-
-def const_bool(value: bool) -> Const:
-    return Const(1 if value else 0, BOOL)
 
 
 def const_int(value: int, bits: int = 32) -> Const:

@@ -30,10 +30,6 @@ class Type:
     def is_integer(self) -> bool:
         return isinstance(self, (IntType, BoolType))
 
-    @property
-    def is_pointer(self) -> bool:
-        return isinstance(self, PointerType)
-
 
 @dataclass(frozen=True)
 class IntType(Type):
@@ -274,12 +270,4 @@ def lookup_named_type(name: str) -> Optional[Type]:
         return PACKET
     if name in BUILTIN_HEADER_TYPES:
         return BUILTIN_HEADER_TYPES[name]
-    return None
-
-
-def region_header_type(region: str) -> Optional[HeaderType]:
-    """Map an abstract packet region back to its header record type."""
-    for header in BUILTIN_HEADER_TYPES.values():
-        if header.region == region:
-            return header
     return None

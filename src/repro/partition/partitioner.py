@@ -20,12 +20,11 @@ to ensure that the dependency constraints are met").
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.depgraph import DependencyGraph, build_dependency_graph
 from repro.analysis.distance import dependency_distances
-from repro.analysis.liveness import peak_live_bytes, transfer_variables
+from repro.analysis.liveness import peak_live_bytes
 from repro.ir import instructions as irin
 from repro.ir.function import Function
 from repro.ir.lowering import LoweredMiddlebox, StateMember
@@ -418,8 +417,8 @@ def _build_transfers(pre, non_off, post) -> Tuple[TransferSpec, TransferSpec]:
     """
     from repro.ir.validate import unsatisfied_uses
 
-    pre_defs = _definitions(pre.function)
-    non_off_defs = _definitions(non_off.function)
+    pre_defs = pre.function.defined_regs()
+    non_off_defs = non_off.function.defined_regs()
     non_off_needs = unsatisfied_uses(non_off.function)
     post_needs = unsatisfied_uses(post.function)
     to_server_regs: Dict[str, object] = {}
@@ -441,20 +440,6 @@ def _build_transfers(pre, non_off, post) -> Tuple[TransferSpec, TransferSpec]:
         [to_switch_regs[name] for name in sorted(to_switch_regs)]
     )
     return to_server, to_switch
-
-
-def _definitions(function) -> Dict[str, object]:
-    defs: Dict[str, object] = {}
-    for inst in function.instructions():
-        result = inst.result()
-        if result is not None:
-            defs[result.name] = result
-        found = getattr(inst, "found", None)
-        if found is not None and hasattr(found, "name"):
-            defs[found.name] = found
-    return defs
-
-
 
 
 def _projected_depth(function: Function) -> int:

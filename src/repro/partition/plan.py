@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.ir.function import Function
 from repro.ir.instructions import Instruction
@@ -99,13 +99,6 @@ class PartitionPlan:
 
     def partition_of(self, inst: Instruction) -> Partition:
         return self.assignment[inst.id]
-
-    def instructions_in(self, partition: Partition) -> List[Instruction]:
-        return [
-            inst
-            for inst in self.middlebox.process.instructions()
-            if self.assignment.get(inst.id) is partition
-        ]
 
     def offloaded_fraction(self) -> float:
         total = len(self.assignment)

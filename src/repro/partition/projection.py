@@ -19,11 +19,11 @@ end without a verdict, the switch punts the packet to the middlebox server
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.lang.types import BOOL
 from repro.ir import instructions as irin
-from repro.ir.function import BasicBlock, Function
+from repro.ir.function import Function
 from repro.ir.values import Const, Reg, aliased_packet_region
 from repro.partition.labels import Partition
 
@@ -195,26 +195,14 @@ def _rematerialize_pure_slices(
     def_count: Dict[str, int] = {}
     def_inst: Dict[str, irin.Instruction] = {}
     for inst in original.instructions():
-        result = inst.result()
-        regs = [result] if result is not None else []
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            regs.append(found)
-        for reg in regs:
+        for reg in inst.defs():
             def_count[reg.name] = def_count.get(reg.name, 0) + 1
             def_inst[reg.name] = inst
 
     # Names already defined inside the projection must not be re-defined by
     # a remat slice (and cannot be read at the entry point), so any slice
     # touching them is ineligible.
-    proj_defs: set = set()
-    for inst in projected.instructions():
-        result = inst.result()
-        if result is not None:
-            proj_defs.add(result.name)
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            proj_defs.add(found.name)
+    proj_defs = projected.defined_regs()
 
     pure_cache: Dict[str, bool] = {}
 
@@ -274,46 +262,6 @@ def _rematerialize_pure_slices(
     entry.instructions[insert_at:insert_at] = clones
 
 
-def _rematerializable_loads(
-    function: Function,
-    assignment: Dict[int, Partition],
-    partition: Partition,
-) -> List[irin.LoadPacketField]:
-    """Earlier-partition header loads this partition can safely re-execute.
-
-    Safe iff the loaded region is never written anywhere in the program
-    (conservative: any write to the region disables rematerialization for
-    all its loads) — then re-reading yields the same value the original
-    load produced.
-    """
-    if partition is Partition.PRE:
-        return []
-    written_regions = {
-        aliased_packet_region(inst.region)
-        for inst in function.instructions()
-        if isinstance(inst, irin.StorePacketField)
-    }
-    used_names: Set[str] = set()
-    for inst in function.instructions():
-        if assignment.get(inst.id, Partition.NON_OFF) is partition:
-            for op in inst.operands():
-                if isinstance(op, Reg):
-                    used_names.add(op.name)
-    loads: List[irin.LoadPacketField] = []
-    seen: Set[str] = set()
-    for inst in function.instructions():
-        if not isinstance(inst, irin.LoadPacketField):
-            continue
-        if assignment.get(inst.id, Partition.NON_OFF).value >= partition.value:
-            continue
-        if aliased_packet_region(inst.region) in written_regions:
-            continue
-        if inst.dst.name in used_names and inst.dst.name not in seen:
-            seen.add(inst.dst.name)
-            loads.append(inst)
-    return loads
-
-
 def _region_has_work(
     function: Function,
     assignment: Dict[int, Partition],
@@ -367,19 +315,13 @@ def _region_effectful(
 
 
 def _undefined_uses(function: Function) -> Set[str]:
-    defined: Set[str] = set()
-    used: Set[str] = set()
-    for inst in function.instructions():
-        for op in inst.operands():
-            if isinstance(op, Reg):
-                used.add(op.name)
-        result = inst.result()
-        if result is not None:
-            defined.add(result.name)
-        found = getattr(inst, "found", None)
-        if isinstance(found, Reg):
-            defined.add(found.name)
-    return used - defined
+    used = {
+        op.name
+        for inst in function.instructions()
+        for op in inst.operands()
+        if isinstance(op, Reg)
+    }
+    return used - function.defined_regs().keys()
 
 
 def _prune_unreachable(function: Function) -> None:

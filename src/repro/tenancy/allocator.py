@@ -98,13 +98,6 @@ def constraint_violations(
     return problems
 
 
-def admit_single(
-    name: str, report: ConstraintReport, limits: SwitchResources
-) -> List[str]:
-    """The partitioner's final admission gate (one tenant, one budget)."""
-    return constraint_violations(report, limits)
-
-
 # ---------------------------------------------------------------------------
 # The shared budget and the N-tenant admission
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from typing import Dict, List, Set
 from repro.analysis.depgraph import build_dependency_graph
 from repro.codegen.headers import ShimLayout
 from repro.ir import instructions as irin
-from repro.ir.function import Function
 from repro.ir.validate import unsatisfied_uses
 from repro.partition.labels import Partition
 from repro.partition.plan import PartitionPlan
@@ -121,26 +120,14 @@ def _check_run_to_completion(plan: PartitionPlan) -> List[Diagnostic]:
     return out
 
 
-def _definitions(function: Function) -> Set[str]:
-    defs: Set[str] = set()
-    for inst in function.instructions():
-        result = inst.result()
-        if result is not None:
-            defs.add(result.name)
-        found = getattr(inst, "found", None)
-        if found is not None and hasattr(found, "name"):
-            defs.add(found.name)
-    return defs
-
-
 def _check_boundary_liveness(
     plan: PartitionPlan,
     shim_to_server: ShimLayout,
     shim_to_switch: ShimLayout,
 ) -> List[Diagnostic]:
     """Re-derive each projection's needs and compare against the shims."""
-    pre_defs = _definitions(plan.pre)
-    non_off_defs = _definitions(plan.non_offloaded)
+    pre_defs = plan.pre.defined_regs()
+    non_off_defs = plan.non_offloaded.defined_regs()
     out: List[Diagnostic] = []
     server_fields = set(shim_to_server.field_names())
     for name, reg in sorted(unsatisfied_uses(plan.non_offloaded).items()):

@@ -1,9 +1,11 @@
 """Stage 1 — structural well-formedness of IR functions (codes IR001-IR010).
 
-Re-implements the checks of :mod:`repro.ir.validate` as diagnostics instead
-of a fail-fast exception, and adds the checks validation never had: CFG
-reachability (no block silently dropped), conservative operand typing, and
-extern signature conformance against :data:`repro.ir.externs.EXTERN_SPECS`.
+IR001-IR007 are the findings of :mod:`repro.ir.validate` (the one home of
+those rules), reported here as diagnostics instead of a fail-fast
+exception.  The verifier adds the checks validation never had: CFG
+reachability (no block silently dropped), conservative operand typing,
+and extern signature conformance against
+:data:`repro.ir.externs.EXTERN_SPECS`.
 
 Projected partition functions read some registers from the shim header
 rather than defining them locally; callers pass those names as
@@ -13,12 +15,12 @@ on entry instead of reporting false IR007s.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from repro.ir import instructions as irin
 from repro.ir.externs import EXTERN_SPECS
 from repro.ir.function import Function
-from repro.ir.validate import _defined_regs, _used_regs
+from repro.ir.validate import Finding, def_use_findings, structural_findings
 from repro.ir.values import Reg
 from repro.lang.types import VOID
 
@@ -30,98 +32,29 @@ def verify_ir(
     boundary_inputs: FrozenSet[str] = frozenset(),
 ) -> List[Diagnostic]:
     """Run every structural check; return all diagnostics found."""
-    out: List[Diagnostic] = []
+    out = [_diagnostic(function, f) for f in structural_findings(function)]
     if function.entry not in function.blocks:
-        out.append(
-            error(
-                "IR001",
-                STAGE_IR,
-                f"entry block {function.entry!r} missing",
-                function=function.name,
-            )
-        )
         return out
-    out.extend(_check_blocks(function))
-    out.extend(_check_ssa(function))
     out.extend(_check_reachability(function))
-    out.extend(_check_defs_before_use(function, boundary_inputs))
+    out.extend(
+        _diagnostic(function, f)
+        for f in def_use_findings(function, boundary_inputs)
+    )
     out.extend(_check_types(function))
     out.extend(_check_externs(function))
     return out
 
 
-def _check_blocks(function: Function) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    for name, block in function.blocks.items():
-        if not block.instructions:
-            out.append(
-                error(
-                    "IR002",
-                    STAGE_IR,
-                    "empty basic block",
-                    function=function.name,
-                    block=name,
-                )
-            )
-            continue
-        last = block.instructions[-1]
-        if not last.is_terminator:
-            out.append(
-                error(
-                    "IR003",
-                    STAGE_IR,
-                    f"block falls through after {last!r}",
-                    function=function.name,
-                    block=name,
-                    location=last.location,
-                )
-            )
-        for inst in block.instructions[:-1]:
-            if inst.is_terminator:
-                out.append(
-                    error(
-                        "IR004",
-                        STAGE_IR,
-                        f"terminator {inst!r} before end of block",
-                        function=function.name,
-                        block=name,
-                        location=inst.location,
-                    )
-                )
-        for target in block.successors():
-            if target not in function.blocks:
-                out.append(
-                    error(
-                        "IR005",
-                        STAGE_IR,
-                        f"branch to unknown block {target!r}",
-                        function=function.name,
-                        block=name,
-                        location=last.location,
-                    )
-                )
-    return out
-
-
-def _check_ssa(function: Function) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    temp_defs: Dict[str, List[irin.Instruction]] = {}
-    for inst in function.instructions():
-        for reg in _defined_regs(inst):
-            if reg.is_temp:
-                temp_defs.setdefault(reg.name, []).append(inst)
-    for name, sites in temp_defs.items():
-        if len(sites) > 1:
-            out.append(
-                error(
-                    "IR006",
-                    STAGE_IR,
-                    f"temp %{name} assigned {len(sites)} times",
-                    function=function.name,
-                    location=sites[1].location,
-                )
-            )
-    return out
+def _diagnostic(function: Function, finding: Finding) -> Diagnostic:
+    code, block, inst, message = finding
+    return error(
+        code,
+        STAGE_IR,
+        message,
+        function=function.name,
+        block=block,
+        location=inst.location if inst is not None else None,
+    )
 
 
 def _check_reachability(function: Function) -> List[Diagnostic]:
@@ -145,71 +78,6 @@ def _check_reachability(function: Function) -> List[Diagnostic]:
                     block=name,
                 )
             )
-    return out
-
-
-def _check_defs_before_use(
-    function: Function, boundary_inputs: FrozenSet[str]
-) -> List[Diagnostic]:
-    """Forward definitely-defined dataflow, seeded with the shim inputs."""
-    preds = function.predecessors()
-    order = function.block_order()
-    all_regs: Set[str] = set(boundary_inputs)
-    for inst in function.instructions():
-        for reg in _defined_regs(inst):
-            all_regs.add(reg.name)
-    defined_in: Dict[str, Set[str]] = {
-        name: set(all_regs) for name in function.blocks
-    }
-    defined_in[function.entry] = set(boundary_inputs)
-
-    def defined_out(block_name: str) -> Set[str]:
-        defined = set(defined_in[block_name])
-        for inst in function.blocks[block_name].instructions:
-            for reg in _defined_regs(inst):
-                defined.add(reg.name)
-        return defined
-
-    changed = True
-    while changed:
-        changed = False
-        for name in order:
-            if name == function.entry:
-                incoming: Set[str] = set(boundary_inputs)
-            else:
-                pred_list = preds.get(name, [])
-                if not pred_list:
-                    continue  # unreachable: IR008 already reported
-                incoming = set(all_regs)
-                for pred in pred_list:
-                    incoming &= defined_out(pred)
-            if incoming != defined_in[name]:
-                defined_in[name] = incoming
-                changed = True
-
-    out: List[Diagnostic] = []
-    seen: Set[str] = set()
-    for name, block in function.blocks.items():
-        if name != function.entry and not preds.get(name):
-            continue
-        defined = set(defined_in[name])
-        for inst in block.instructions:
-            for reg in _used_regs(inst):
-                if reg.name not in defined and reg.name not in seen:
-                    seen.add(reg.name)
-                    out.append(
-                        error(
-                            "IR007",
-                            STAGE_IR,
-                            f"%{reg.name} may be read before definition"
-                            f" in {inst!r}",
-                            function=function.name,
-                            block=name,
-                            location=inst.location,
-                        )
-                    )
-            for reg in _defined_regs(inst):
-                defined.add(reg.name)
     return out
 
 

@@ -1,4 +1,4 @@
-"""Symbolic execution engine mirroring the IR interpreter.
+"""Symbolic execution: the IR interpreter's dispatch loop over terms.
 
 One **world** is a single control-flow path through a function (or a
 composed switch⊕server journey), identified by the sequence of boolean
@@ -8,12 +8,13 @@ standard script-DFS: run with a decision prefix, then enqueue every
 one-bit flip of the fresh suffix, until no unexplored flip remains or
 the world budget is exhausted.
 
-Everything here mirrors a concrete twin line by line:
+``sym_run`` is no mirror: it runs the interpreter's own dispatch loop,
+:func:`repro.ir.interp.execute`, over terms.  What it runs against mirrors
+a concrete twin line by line:
 
 ========================  ========================================
 symbolic class            concrete twin
 ========================  ========================================
-``sym_run``               ``repro.ir.interp.Interpreter.run``
 ``SymPacketView``         ``repro.ir.interp.PacketView``
 ``SymStateStore``         ``repro.ir.interp.StateStore``
 ``SymSwitchState``        ``repro.switchsim.pipeline.SwitchStateAdapter``
@@ -32,9 +33,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.ir import instructions as irin
 from repro.ir.function import Function
-from repro.ir.interp import _FIELD_MAP, _MAX_STEPS, _width_of
+from repro.ir.interp import _FIELD_MAP, _MAX_STEPS, ValueDomain, execute
 from repro.ir.lowering import StateMember
-from repro.ir.values import Const, Operand, Reg
+from repro.ir.values import Reg
 from repro.lang.types import BOOL, IntType
 from repro.verify.symbolic.terms import (
     MASK64,
@@ -609,126 +610,28 @@ def sym_run(
     initial_env: Optional[Dict[str, Term]] = None,
     max_steps: int = _MAX_STEPS,
 ) -> SymResult:
-    """Symbolically execute one IR function — ``Interpreter.run``'s mirror.
+    """Symbolically execute one IR function: the interpreter's dispatch
+    loop (:func:`repro.ir.interp.execute`) over terms.
 
     ``state`` is a :class:`SymStateStore` or :class:`SymSwitchState`; both
     expose the StateStore surface the interpreter calls.
     """
-    externs = externs or SymExternHost(chooser=chooser)
-    env: Dict[str, Term] = dict(initial_env or {})
-    block = function.blocks[function.entry]
-    steps = 0
-    verdict: Optional[str] = None
-    egress: Optional[Term] = None
-
-    def value_of(operand: Operand) -> Term:
-        if isinstance(operand, Const):
-            return const(operand.value)
-        if isinstance(operand, Reg):
-            try:
-                return env[operand.name]
-            except KeyError:
-                raise SymExecError(
-                    f"{function.name}: read of undefined register"
-                    f" %{operand.name}"
-                ) from None
-        raise SymExecError(f"bad operand {operand!r}")
-
-    while True:
-        next_block: Optional[str] = None
-        for inst in block.instructions:
-            steps += 1
-            if steps > max_steps:
-                raise BudgetExhausted(
-                    f"{function.name}: symbolic step limit exceeded"
-                )
-            if isinstance(inst, irin.Assign):
-                env[inst.dst.name] = _wrap_reg(value_of(inst.src), inst.dst)
-            elif isinstance(inst, irin.BinOp):
-                result = binop(inst.op, value_of(inst.lhs), value_of(inst.rhs))
-                env[inst.dst.name] = _wrap_reg(result, inst.dst)
-            elif isinstance(inst, irin.UnOp):
-                env[inst.dst.name] = _wrap_reg(
-                    unop(inst.op, value_of(inst.src)), inst.dst
-                )
-            elif isinstance(inst, irin.Cast):
-                env[inst.dst.name] = _wrap_reg(value_of(inst.src), inst.dst)
-            elif isinstance(inst, irin.LoadPacketField):
-                if packet is None:
-                    raise SymExecError("packet access without a packet")
-                env[inst.dst.name] = _wrap_reg(
-                    packet.get_field(inst.region, inst.field), inst.dst
-                )
-            elif isinstance(inst, irin.StorePacketField):
-                if packet is None:
-                    raise SymExecError("packet access without a packet")
-                packet.set_field(inst.region, inst.field, value_of(inst.src))
-            elif isinstance(inst, irin.LoadState):
-                env[inst.dst.name] = _wrap_reg(
-                    state.load_scalar(inst.state), inst.dst
-                )
-            elif isinstance(inst, irin.StoreState):
-                state.store_scalar(inst.state, value_of(inst.src))
-            elif isinstance(inst, irin.RegisterRMW):
-                old = state.rmw_scalar(
-                    inst.state,
-                    inst.op,
-                    value_of(inst.operand),
-                    _width_of(inst.dst.type),
-                )
-                env[inst.dst.name] = _wrap_reg(old, inst.dst)
-            elif isinstance(inst, irin.MapFind):
-                keys = tuple(value_of(k) for k in inst.keys)
-                found, value = state.map_find(inst.state, keys)
-                env[inst.found.name] = const(int(found))
-                if inst.value is not None:
-                    env[inst.value.name] = value
-            elif isinstance(inst, irin.MapInsert):
-                keys = tuple(value_of(k) for k in inst.keys)
-                state.map_insert(inst.state, keys, value_of(inst.value))
-            elif isinstance(inst, irin.MapErase):
-                keys = tuple(value_of(k) for k in inst.keys)
-                state.map_erase(inst.state, keys)
-            elif isinstance(inst, irin.VectorGet):
-                env[inst.dst.name] = state.vector_get(
-                    inst.state, value_of(inst.index)
-                )
-            elif isinstance(inst, irin.VectorLen):
-                env[inst.dst.name] = state.vector_len(inst.state)
-            elif isinstance(inst, irin.VectorPush):
-                state.vector_push(inst.state, value_of(inst.value))
-            elif isinstance(inst, irin.ExternCall):
-                args = [value_of(a) for a in inst.args]
-                result = externs.call(inst.name, args, packet)
-                if inst.dst is not None:
-                    env[inst.dst.name] = _wrap_reg(result, inst.dst)
-            elif isinstance(inst, irin.SendTo):
-                verdict = "send"
-                egress = value_of(inst.port)
-                next_block = None
-                break
-            elif isinstance(inst, irin.Send):
-                verdict = "send"
-                next_block = None
-                break
-            elif isinstance(inst, irin.Drop):
-                verdict = "drop"
-                next_block = None
-                break
-            elif isinstance(inst, irin.Jump):
-                next_block = inst.target
-                break
-            elif isinstance(inst, irin.Branch):
-                taken = chooser.decide(value_of(inst.cond))
-                next_block = inst.if_true if taken else inst.if_false
-                break
-            elif isinstance(inst, irin.Return):
-                next_block = None
-                break
-            else:
-                raise SymExecError(
-                    f"unhandled instruction {type(inst).__name__}"
-                )
-        if next_block is None:
-            return SymResult(verdict, egress, env, steps)
-        block = function.blocks[next_block]
+    domain = ValueDomain(
+        const=const,
+        wrap=_wrap_reg,
+        binop=binop,
+        unop=unop,
+        truth=chooser.decide,
+        error=SymExecError,
+        step_limit=BudgetExhausted,
+    )
+    verdict, egress, env, steps = execute(
+        function,
+        domain,
+        state,
+        externs or SymExternHost(chooser=chooser),
+        packet=packet,
+        initial_env=initial_env,
+        max_steps=max_steps,
+    )
+    return SymResult(verdict, egress, env, steps)

@@ -2,7 +2,7 @@
 
 A :class:`Term` is a constant, an atom (one symbolic packet input), or an
 operation node mirroring the IR interpreter's evaluation semantics
-(:func:`repro.ir.interp._apply_binop` / ``Interpreter._wrap``) over
+(:func:`repro.ir.interp._apply_binop` / ``_apply_unop`` / ``_wrap``) over
 unbounded Python integers.  Every node carries an unsigned interval
 ``[lo, hi]`` computed at construction — the only "theory" the prover
 needs, because all runtime values are wrapped to their register width
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.ir.instructions import BinOpKind, UnOpKind
-from repro.ir.interp import _apply_binop
+from repro.ir.interp import _apply_binop, _apply_unop
 
 #: Mask mirroring the interpreter's default (non-IntType, non-bool) wrap.
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -253,11 +253,7 @@ def _decide_comparison(op: BinOpKind, a: Term, b: Term) -> Optional[int]:
 
 def unop(op: UnOpKind, a: Term) -> Term:
     if a.is_const:
-        if op is UnOpKind.NEG:
-            return const(-a.value)
-        if op is UnOpKind.NOT:
-            return const(~a.value)
-        return const(int(not a.value))
+        return const(_apply_unop(op, a.value))
     if op is UnOpKind.NEG:
         return _mk_op(op, (a,), -a.hi, -a.lo)
     if op is UnOpKind.NOT:
@@ -270,7 +266,7 @@ def unop(op: UnOpKind, a: Term) -> Term:
 
 
 def wrap(a: Term, mask: int) -> Term:
-    """``a & mask`` mirroring ``Interpreter._wrap`` for integer types."""
+    """``a & mask`` mirroring ``repro.ir.interp._wrap`` for integer types."""
     if a.is_const:
         return const(a.value & mask)
     if 0 <= a.lo and a.hi <= mask:
@@ -307,12 +303,7 @@ def evaluate(term: Term, assignment: Dict[str, int],
         elif op == "bool":
             result = 1 if args[0] else 0
         elif isinstance(op, UnOpKind):
-            if op is UnOpKind.NEG:
-                result = -args[0]
-            elif op is UnOpKind.NOT:
-                result = ~args[0]
-            else:
-                result = int(not args[0])
+            result = _apply_unop(op, args[0])
         else:
             result = _apply_binop(op, args[0], args[1])
     memo[term.key] = result

@@ -12,12 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from repro.net.headers import IPPROTO_TCP, TcpFlags
+from repro.net.addresses import Ipv4Address
 from repro.net.packet import RawPacket
 from repro.workloads.packets import FlowSpec, flow_packets, make_tcp_packet
 
 VIP = "10.0.0.100"
 EXTERNAL_SERVER = "8.8.4.4"
+#: iperf clients: 192.168.0.0/16, the first at 192.168.1.1.
+_CLIENT_NET = 0xC0A80000
+_FIRST_CLIENT = 0x0101
+_FIRST_SPORT = 10000
 
 
 @dataclass
@@ -34,11 +38,16 @@ class IperfWorkload:
         return max(0, self.packet_size - 54)
 
     def flows(self, daddr: str = VIP) -> List[FlowSpec]:
+        """One flow per connection.  Flow ``i`` comes from the ``i``-th
+        address after 192.168.1.1, wrapping within 192.168.0.0/16, and
+        from source port ``10000 + i``, wrapping below 65536."""
         return [
             FlowSpec(
-                saddr=f"192.168.1.{index + 1}",
+                saddr=str(Ipv4Address(
+                    _CLIENT_NET | ((_FIRST_CLIENT + index) & 0xFFFF)
+                )),
                 daddr=daddr,
-                sport=10000 + index,
+                sport=_FIRST_SPORT + index % (0x10000 - _FIRST_SPORT),
                 dport=5001,
                 data_packets=self.packets_per_connection,
                 payload_size=self.payload_size,

@@ -28,12 +28,13 @@ ORACLE_SEEDS = range(200)
 _ORACLE_CORPUS: list = []
 
 
-def oracle_corpus() -> list:
-    """``(name, process function)`` for the six bundled middleboxes and
-    200 seeded ``generate_source`` programs, lowered once per test run.
+def oracle_middleboxes() -> list:
+    """``(name, LoweredMiddlebox, config)`` for the six bundled middleboxes
+    and 200 seeded ``generate_source`` programs, lowered once per test run.
 
     The dependency-graph and label-removal oracle tests check the
-    analyses against literal reference implementations over this corpus.
+    analyses against literal reference implementations over this corpus;
+    the execution-domain test runs it on both value domains.
     """
     if not _ORACLE_CORPUS:
         from repro.difftest.generator import generate_source
@@ -41,11 +42,17 @@ def oracle_corpus() -> list:
         from repro.lang import parse_program
 
         for name in MIDDLEBOX_NAMES:
-            _ORACLE_CORPUS.append((name, get_bundle(name).lowered.process))
+            bundle = get_bundle(name)
+            _ORACLE_CORPUS.append((name, bundle.lowered, bundle.config))
         for seed in ORACLE_SEEDS:
             lowered = lower_program(parse_program(generate_source(seed)))
-            _ORACLE_CORPUS.append((f"seed{seed}", lowered.process))
+            _ORACLE_CORPUS.append((f"seed{seed}", lowered, None))
     return _ORACLE_CORPUS
+
+
+def oracle_corpus() -> list:
+    """``(name, process function)`` over :func:`oracle_middleboxes`."""
+    return [(name, lowered.process) for name, lowered, _ in oracle_middleboxes()]
 
 
 @pytest.fixture(params=MIDDLEBOX_NAMES)

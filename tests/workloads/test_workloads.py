@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.headers import IPPROTO_TCP, IPPROTO_UDP, TcpFlags
+from repro.net.headers import IPPROTO_UDP, TcpFlags
 from repro.workloads.conga import (
     DATA_MINING,
     DISTRIBUTIONS,
@@ -14,7 +14,7 @@ from repro.workloads.conga import (
     sample_flow_sizes,
 )
 from repro.workloads.iperf import IperfWorkload, middlebox_stream
-from repro.workloads.packets import FlowSpec, flow_packets, make_tcp_packet
+from repro.workloads.packets import FlowSpec, flow_packets
 
 
 class TestFlowPackets:
@@ -51,6 +51,22 @@ class TestIperfWorkload:
     def test_flows_distinct_sources(self):
         flows = IperfWorkload(connections=10).flows()
         assert len({f.saddr for f in flows}) == 10
+
+    def test_flows_up_to_255_keep_their_addresses_and_ports(self):
+        flows = IperfWorkload(connections=255).flows()
+        assert [(f.saddr, f.sport) for f in flows] == [
+            (f"192.168.1.{index + 1}", 10000 + index) for index in range(255)
+        ]
+
+    def test_many_flows_stay_valid_and_distinct(self):
+        flows = IperfWorkload(connections=100_000,
+                              packets_per_connection=1).flows()
+        assert len({(f.saddr, f.sport) for f in flows}) == len(flows)
+        assert all(0 < f.sport < 0x10000 for f in flows)
+        for spec in flows[::997] + flows[-3:]:
+            syn = next(flow_packets(spec))
+            assert str(syn.ip.saddr) == spec.saddr
+            assert syn.tcp.sport == spec.sport
 
     @pytest.mark.parametrize(
         "name", ["minilb", "mazunat", "lb", "firewall", "proxy", "trojan"]
